@@ -6,10 +6,13 @@
 //   * MultiSelect  — bitmask-encoded "check all that apply" answers
 //                    (up to 64 options, ample for any survey question).
 //
-// Row storage is a PageVec: owned by default, or borrowed straight from a
-// memory-mapped snapshot page (data/snapshot.hpp) with copy-on-write
-// semantics — every accessor and mutator below behaves identically in
-// both states.
+// Row storage is a PageVec (data/page_vec.hpp): a view onto a shared,
+// tail-appendable buffer, possibly a memory-mapped snapshot page
+// (data/snapshot.hpp). Copying a column shares its rows; pushes and bulk
+// appends at the buffer's tip extend it in place, in O(appended rows);
+// set/clear copy on write unless the column is the buffer's sole owner.
+// Every accessor and mutator below behaves as if each column owned its
+// rows outright.
 #pragma once
 
 #include <cstdint>

@@ -4,59 +4,44 @@
 
 namespace rcr::data {
 
-Table::Table(const Table& other) { *this = other; }
-
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  columns_.clear();
-  order_ = other.order_;
-  columns_.reserve(other.columns_.size());
-  for (const auto& c : other.columns_)
-    columns_.push_back(std::make_unique<NamedColumn>(*c));
-  return *this;
-}
-
 NumericColumn& Table::add_numeric(const std::string& name) {
   RCR_CHECK_MSG(!has_column(name), "duplicate column '" + name + "'");
-  columns_.push_back(
-      std::make_unique<NamedColumn>(NamedColumn{name, NumericColumn{}}));
+  columns_.push_back(NamedColumn{name, NumericColumn{}});
   order_.push_back(name);
-  return std::get<NumericColumn>(columns_.back()->column);
+  return std::get<NumericColumn>(columns_.back().column);
 }
 
 CategoricalColumn& Table::add_categorical(
     const std::string& name, std::vector<std::string> categories) {
   RCR_CHECK_MSG(!has_column(name), "duplicate column '" + name + "'");
   if (categories.empty()) {
-    columns_.push_back(
-        std::make_unique<NamedColumn>(NamedColumn{name, CategoricalColumn{}}));
+    columns_.push_back(NamedColumn{name, CategoricalColumn{}});
   } else {
-    columns_.push_back(std::make_unique<NamedColumn>(
-        NamedColumn{name, CategoricalColumn{std::move(categories)}}));
+    columns_.push_back(
+        NamedColumn{name, CategoricalColumn{std::move(categories)}});
   }
   order_.push_back(name);
-  return std::get<CategoricalColumn>(columns_.back()->column);
+  return std::get<CategoricalColumn>(columns_.back().column);
 }
 
 MultiSelectColumn& Table::add_multiselect(const std::string& name,
                                           std::vector<std::string> options) {
   RCR_CHECK_MSG(!has_column(name), "duplicate column '" + name + "'");
-  columns_.push_back(std::make_unique<NamedColumn>(
-      NamedColumn{name, MultiSelectColumn{std::move(options)}}));
+  columns_.push_back(NamedColumn{name, MultiSelectColumn{std::move(options)}});
   order_.push_back(name);
-  return std::get<MultiSelectColumn>(columns_.back()->column);
+  return std::get<MultiSelectColumn>(columns_.back().column);
 }
 
 std::size_t Table::row_count() const {
   if (columns_.empty()) return 0;
   return std::visit([](const auto& c) { return c.size(); },
-                    columns_.front()->column);
+                    columns_.front().column);
 }
 
 bool Table::has_column(const std::string& name) const {
   return std::any_of(
       columns_.begin(), columns_.end(),
-      [&](const auto& c) { return c->name == name; });
+      [&](const auto& c) { return c.name == name; });
 }
 
 ColumnKind Table::kind(const std::string& name) const {
@@ -69,13 +54,13 @@ ColumnKind Table::kind(const std::string& name) const {
 
 Table::NamedColumn& Table::find(const std::string& name) {
   for (auto& c : columns_)
-    if (c->name == name) return *c;
+    if (c.name == name) return c;
   throw InvalidInputError("no such column '" + name + "'");
 }
 
 const Table::NamedColumn& Table::find(const std::string& name) const {
   for (const auto& c : columns_)
-    if (c->name == name) return *c;
+    if (c.name == name) return c;
   throw InvalidInputError("no such column '" + name + "'");
 }
 
@@ -117,8 +102,7 @@ const MultiSelectColumn& Table::multiselect(const std::string& name) const {
 
 void Table::validate_rectangular() const {
   const std::size_t n = row_count();
-  for (const auto& cp : columns_) {
-    const auto& c = *cp;
+  for (const auto& c : columns_) {
     const std::size_t size =
         std::visit([](const auto& col) { return col.size(); }, c.column);
     RCR_CHECK_MSG(size == n, "column '" + c.name + "' has " +
@@ -204,8 +188,7 @@ void Table::append_rows_labelwise(const Table& other) {
 Table Table::slice(std::size_t lo, std::size_t hi) const {
   RCR_CHECK_MSG(lo <= hi && hi <= row_count(), "slice range out of bounds");
   Table out = clone_empty();
-  for (const auto& cp : columns_) {
-    const auto& c = *cp;
+  for (const auto& c : columns_) {
     if (const auto* num = std::get_if<NumericColumn>(&c.column)) {
       out.numeric(c.name).append_range(*num, lo, hi);
     } else if (const auto* cat = std::get_if<CategoricalColumn>(&c.column)) {
@@ -221,8 +204,7 @@ Table Table::slice(std::size_t lo, std::size_t hi) const {
 Table Table::clone_empty() const {
   Table out;
   // Recreate the schema so category codes stay aligned with this table.
-  for (const auto& cp : columns_) {
-    const auto& c = *cp;
+  for (const auto& c : columns_) {
     if (std::holds_alternative<NumericColumn>(c.column)) {
       out.add_numeric(c.name);
     } else if (const auto* cat = std::get_if<CategoricalColumn>(&c.column)) {
@@ -242,8 +224,8 @@ Table Table::clone_empty() const {
 }
 
 void Table::clear_rows() {
-  for (auto& cp : columns_)
-    std::visit([](auto& col) { col.clear(); }, cp->column);
+  for (auto& c : columns_)
+    std::visit([](auto& col) { col.clear(); }, c.column);
 }
 
 Table Table::filter(const std::function<bool(std::size_t)>& pred) const {
@@ -252,8 +234,7 @@ Table Table::filter(const std::function<bool(std::size_t)>& pred) const {
   const std::size_t n = row_count();
   for (std::size_t i = 0; i < n; ++i) {
     if (!pred(i)) continue;
-    for (const auto& cp : columns_) {
-      const auto& c = *cp;
+    for (const auto& c : columns_) {
       if (const auto* num = std::get_if<NumericColumn>(&c.column)) {
         out.numeric(c.name).push(num->at(i));
       } else if (const auto* cat = std::get_if<CategoricalColumn>(&c.column)) {

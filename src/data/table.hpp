@@ -3,10 +3,15 @@
 // Columns are stored by name in insertion order. All mutation goes through
 // append-style builders; analysis functions never modify a table, they
 // produce new ones (filter/select) or read-only views (spans).
+//
+// Copying a table is O(columns): each column's rows live in a PageVec
+// (data/page_vec.hpp), so the copy shares them, appends to either table at
+// the shared buffer's tip extend it in place, and any other mutation
+// copies on write.
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <list>
 #include <optional>
 #include <string>
 #include <variant>
@@ -19,11 +24,6 @@ namespace rcr::data {
 class Table {
  public:
   Table() = default;
-  Table(const Table& other);             // deep copy
-  Table& operator=(const Table& other);  // deep copy
-  Table(Table&&) noexcept = default;
-  Table& operator=(Table&&) noexcept = default;
-  ~Table() = default;
 
   // --- schema construction -------------------------------------------------
   NumericColumn& add_numeric(const std::string& name);
@@ -98,9 +98,9 @@ class Table {
   NamedColumn& find(const std::string& name);
   const NamedColumn& find(const std::string& name) const;
 
-  // unique_ptr keeps column addresses stable, so references returned by
-  // add_* remain valid as further columns are added.
-  std::vector<std::unique_ptr<NamedColumn>> columns_;
+  // A list keeps column addresses stable, so references returned by add_*
+  // remain valid as further columns are added.
+  std::list<NamedColumn> columns_;
   std::vector<std::string> order_;
 };
 

@@ -152,7 +152,10 @@ std::size_t Server::append_delta(std::uint64_t base_epoch,
   }
   lin.engine->append_block(block, config_.pool);
 
-  data::Table merged = base->table;  // deep copy; base stays pinned as-is
+  // The copy shares the base's column buffers; appending at their tip
+  // extends them in place in O(block rows), below which the base (and
+  // every older epoch of the lineage) keeps reading unchanged.
+  data::Table merged = base->table;
   merged.append_rows(block);
 
   // Refresh every served spec from the incremental partials and insert

@@ -103,7 +103,12 @@ class Server {
   // the base epoch ever served is refreshed in O(block rows) through the
   // lineage's incremental engine and cached under the new epoch before it
   // becomes visible (a reader can never find the new epoch cold for those
-  // specs). Refreshed bodies are byte-identical to a cold engine run on
+  // specs). The new table shares the base's column buffers and appends
+  // the block at their tip, also O(block rows) amortized: every epoch of a
+  // lineage shares one prefix and reads only below its own row count. A
+  // lineage's first delta on a mapped snapshot materializes its columns
+  // once, and a second delta from the same base (a branch) copies the
+  // base's rows into buffers of its own. Refreshed bodies are byte-identical to a cold engine run on
   // the merged table — the incremental partials reproduce the cold bits
   // exactly. The base epoch stays registered; retire it separately once
   // its readers drain. Returns the number of cache entries refreshed.

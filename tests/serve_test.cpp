@@ -615,8 +615,48 @@ TEST(ServeDeltaTest, LateSpecBackfillsColdThenJoinsTheLineage) {
   EXPECT_EQ(late2.body, cold_engine_body(merged2, late));
 }
 
+// Two deltas from the same base epoch (a branch): each new epoch serves the
+// cold bytes of its own cut, and the base keeps its original bytes. The
+// base has room at its columns' tip, so the first delta extends the shared
+// buffers in place and the second finds the tip taken and copies its rows.
+TEST(ServeDeltaTest, BranchingDeltasEachServeTheirOwnCut) {
+  const data::Table full = make_table(9000);
+  data::Table base = full.slice(0, 5000);
+  base.append_rows(full.slice(5000, 9000));  // 9000 rows in a 10000-row buffer
+  const data::Table block_a = make_table(9500).slice(9000, 9500);
+  const data::Table block_b = make_table(700);
+  const auto specs = all_kind_specs();
+
+  Server server;
+  server.register_snapshot(kEpoch, base);
+  std::vector<std::vector<std::uint8_t>> base_bodies;
+  for (const auto& spec : specs) {
+    const Response resp = server.handle({kEpoch, spec});
+    ASSERT_EQ(resp.type, MsgType::kResult);
+    base_bodies.push_back(resp.body);
+  }
+  ASSERT_EQ(server.append_delta(kEpoch, kEpoch + 1, block_a), specs.size());
+  ASSERT_EQ(server.append_delta(kEpoch, kEpoch + 2, block_b), specs.size());
+
+  data::Table cut_a = full;
+  cut_a.append_rows(block_a);
+  data::Table cut_b = full;
+  cut_b.append_rows(block_b);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(server.handle({kEpoch + 1, specs[i]}).body,
+              cold_engine_body(cut_a, specs[i]));
+    EXPECT_EQ(server.handle({kEpoch + 2, specs[i]}).body,
+              cold_engine_body(cut_b, specs[i]));
+    const Response again = server.handle({kEpoch, specs[i]});
+    EXPECT_EQ(again.body, base_bodies[i]);
+    EXPECT_EQ(again.body, cold_engine_body(full, specs[i]));
+  }
+}
+
 // Retiring a delta's base epoch leaves the new epoch fully servable (the
-// lineage rides with the head, and the head owns its own table copy).
+// lineage rides with the head, and the head's table holds its own
+// reference to the column buffers it shares with the base).
 TEST(ServeDeltaTest, RetiringTheBaseKeepsTheDeltaEpochLive) {
   const data::Table full = make_table(9500);
   Server server;
@@ -646,9 +686,10 @@ TEST(ServeDeltaTest, RetiringTheBaseKeepsTheDeltaEpochLive) {
 // locks, and append_delta does its O(delta) incremental scan on a
 // privately-extracted lineage (lineage_mutex_ held only for the brief
 // extract/publish). This test — run under TSan in CI — hammers reads on
-// every epoch of a growing chain while the chain is being built, plus a
-// concurrent retire of an old ancestor, and then pins every epoch's bytes
-// against a cold engine run of its cut.
+// every epoch of a growing chain while the chain is being built (from the
+// second delta on, each delta extends in place the column buffers the
+// epochs being read share), plus a concurrent retire of an old ancestor,
+// and then pins every epoch's bytes against a cold engine run of its cut.
 TEST(ServeDeltaTest, ConcurrentReadsAndRetireDuringDeltaChain) {
   constexpr std::size_t kBaseRows = 9000, kBlockRows = 500;
   constexpr std::uint64_t kDeltas = 4;
