@@ -68,10 +68,10 @@ std::uint64_t sketch_fingerprint(const TableSketch& sketch) {
     }
   }
   for (const auto& [r, c] : sketch.options().crosstabs) {
-    const auto& xt = sketch.crosstab(r, c);
-    for (std::size_t i = 0; i < xt.row_labels().size(); ++i)
-      for (std::size_t j = 0; j < xt.col_labels().size(); ++j)
-        fp.mix(xt.at(i, j));
+    const auto xt = sketch.crosstab(r, c);
+    for (std::size_t i = 0; i < xt.row_labels.size(); ++i)
+      for (std::size_t j = 0; j < xt.col_labels.size(); ++j)
+        fp.mix(xt.counts.at(i, j));
   }
   fp.mix(sketch.distinct().estimate());
   for (const auto& e : sketch.heavy_hitters().top(16)) {
@@ -191,10 +191,10 @@ std::vector<ErrorRow> validate(const TableSketch& sketch,
           std::size_t{1} << sketch.options().hll_precision));
   rows.push_back({"hll.rel_err", hll_err, hll_bound});
 
-  // StreamingCrosstab must equal the materialized builders exactly.
+  // The sketch's crosstabs must equal the materialized builders exactly.
   double xtab_diff = 0.0;
   for (const auto& [rcol, ccol] : sketch.options().crosstabs) {
-    const auto streamed = sketch.crosstab(rcol, ccol).to_labeled();
+    const auto streamed = sketch.crosstab(rcol, ccol);
     const auto exact =
         full.kind(ccol) == rcr::data::ColumnKind::kMultiSelect
             ? rcr::data::crosstab_multiselect(full, rcol, ccol)

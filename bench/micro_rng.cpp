@@ -1,10 +1,12 @@
 // Microbenchmark of the draw pipeline: scalar Rng calls vs. the batched
-// fill_* paths vs. the K-stream BatchRng, plus AliasTable::sample vs.
-// sample_batch, plus the counter-based simd::Philox (scalar draws vs. the
-// SIMD fill kernels). Emits a JSON report (stdout, or --out FILE) so CI
-// can keep a machine-readable baseline; the acceptance bar for the batched
-// pipeline is >= 3x the scalar path on u64 generation. The report records
-// the dispatched SIMD ISA in its "simd" field.
+// Rng::fill_* paths, AliasTable::sample vs. sample_batch, and the
+// counter-based simd::Philox (scalar draws vs. the SIMD fill kernels).
+// Emits a JSON report (stdout, or --out FILE) so CI can keep a
+// machine-readable baseline; the "speedups" block divides each scalar
+// loop's ns/draw by its batched counterpart's, and CI's smoke step only
+// asserts that the SIMD Philox fill beats scalar Philox draws
+// (philox_u64 > 1). The report records the dispatched SIMD ISA in its
+// "simd" field.
 //
 // Buffers are sized to stay L1/L2-resident (32 KiB) so the numbers measure
 // generation throughput, not memory bandwidth.
@@ -93,7 +95,6 @@ int main(int argc, char** argv) {
 
   rcr::Rng scalar_rng(42);
   rcr::Rng fill_rng(42);
-  rcr::BatchRng batch_rng(42);
 
   std::vector<Result> results;
 
@@ -106,18 +107,10 @@ int main(int argc, char** argv) {
     fill_rng.fill_u64(u64_buf);
     g_sink += u64_buf.back();
   }));
-  results.push_back(run_bench("batch.fill_u64", kBufU64, [&] {
-    batch_rng.fill_u64(u64_buf);
-    g_sink += u64_buf.back();
-  }));
 
   // Unit doubles.
   results.push_back(run_bench("scalar.next_double", kBufU64, [&] {
     for (double& v : f64_buf) v = scalar_rng.next_double();
-    g_sink += static_cast<std::uint64_t>(f64_buf.back() * 1e9);
-  }));
-  results.push_back(run_bench("batch.fill_double", kBufU64, [&] {
-    batch_rng.fill_double(f64_buf);
     g_sink += static_cast<std::uint64_t>(f64_buf.back() * 1e9);
   }));
 
@@ -128,10 +121,6 @@ int main(int argc, char** argv) {
   }));
   results.push_back(run_bench("rng.fill_below", kBufU64, [&] {
     fill_rng.fill_below(kBound, u64_buf);
-    g_sink += u64_buf.back();
-  }));
-  results.push_back(run_bench("batch.fill_below", kBufU64, [&] {
-    batch_rng.fill_below(kBound, u64_buf);
     g_sink += u64_buf.back();
   }));
 
@@ -179,9 +168,6 @@ int main(int argc, char** argv) {
     const char* batched;
   };
   const Pair pairs[] = {
-      {"u64", "scalar.next_u64", "batch.fill_u64"},
-      {"double", "scalar.next_double", "batch.fill_double"},
-      {"below", "scalar.next_below", "batch.fill_below"},
       {"alias", "alias.sample", "alias.sample_batch"},
       {"philox_u64", "philox.next_u64", "philox.fill_u64"},
       {"philox_double", "philox.next_u64", "philox.fill_double"},

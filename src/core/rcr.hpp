@@ -63,7 +63,6 @@
 #include "stats/permutation.hpp"
 #include "stats/power.hpp"
 #include "stats/regression.hpp"
-#include "stream/crosstab_stream.hpp"
 #include "stream/sketch.hpp"
 #include "stream/table_sketch.hpp"
 #include "survey/allocate.hpp"

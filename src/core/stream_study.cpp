@@ -126,9 +126,8 @@ std::string render_stream_report(const stream::TableSketch& sketch) {
 
   // T2-style: language adoption by field, row-conditional shares.
   {
-    const auto& xtab =
+    const auto labeled =
         sketch.crosstab(synth::col::kField, synth::col::kLanguages);
-    const auto labeled = xtab.to_labeled();
     out += "\nLanguage use by field (share of field, streaming T2)\n";
     std::vector<std::string> headers = {"Field"};
     for (const auto& l : labeled.col_labels) headers.push_back(l);

@@ -111,37 +111,46 @@ void Table::validate_rectangular() const {
   }
 }
 
+void Table::check_same_schema(const Table& other) const {
+  RCR_CHECK_MSG(order_ == other.order_, "table schemas differ: column sets");
+  for (const auto& name : order_) {
+    RCR_CHECK_MSG(kind(name) == other.kind(name),
+                  "table schemas differ: kind of '" + name + "'");
+    switch (kind(name)) {
+      case ColumnKind::kNumeric:
+        break;
+      case ColumnKind::kCategorical:
+        RCR_CHECK_MSG(categorical(name).categories() ==
+                          other.categorical(name).categories(),
+                      "table schemas differ: categories of '" + name + "'");
+        break;
+      case ColumnKind::kMultiSelect:
+        RCR_CHECK_MSG(multiselect(name).options() ==
+                          other.multiselect(name).options(),
+                      "table schemas differ: options of '" + name + "'");
+        break;
+    }
+  }
+}
+
 void Table::append_rows(const Table& other) {
   validate_rectangular();
   other.validate_rectangular();
-  RCR_CHECK_MSG(order_ == other.order_, "append_rows: column sets differ");
+  check_same_schema(other);
+  // Bulk copies: per-element push re-validated invariants the source column
+  // already established, which dominated shard-merge time in the parallel
+  // CSV reader.
   for (const auto& name : order_) {
-    RCR_CHECK_MSG(kind(name) == other.kind(name),
-                  "append_rows: column '" + name + "' kind differs");
     switch (kind(name)) {
-      case ColumnKind::kNumeric: {
-        // Bulk copies: per-element push re-validated invariants the source
-        // column already established, which dominated shard-merge time in
-        // the parallel CSV reader.
+      case ColumnKind::kNumeric:
         numeric(name).append_column(other.numeric(name));
         break;
-      }
-      case ColumnKind::kCategorical: {
-        auto& dst = categorical(name);
-        const auto& src = other.categorical(name);
-        RCR_CHECK_MSG(dst.categories() == src.categories(),
-                      "append_rows: categories of '" + name + "' differ");
-        dst.append_codes(src);
+      case ColumnKind::kCategorical:
+        categorical(name).append_codes(other.categorical(name));
         break;
-      }
-      case ColumnKind::kMultiSelect: {
-        auto& dst = multiselect(name);
-        const auto& src = other.multiselect(name);
-        RCR_CHECK_MSG(dst.options() == src.options(),
-                      "append_rows: options of '" + name + "' differ");
-        dst.append_column(src);
+      case ColumnKind::kMultiSelect:
+        multiselect(name).append_column(other.multiselect(name));
         break;
-      }
     }
   }
 }

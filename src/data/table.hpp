@@ -49,6 +49,11 @@ class Table {
   // Checks that every column has the same number of rows.
   void validate_rectangular() const;
 
+  // Throws unless `other` has this table's schema: the same column names in
+  // order, the same kinds, and the same category/option label vectors, so
+  // every code and option bit means the same label in both tables.
+  void check_same_schema(const Table& other) const;
+
   // A table with the same schema (column names, kinds, category/option
   // sets, frozen state) and zero rows — the starting point for CSV ingest,
   // filtered copies, and block-reassembly in the streaming engine.

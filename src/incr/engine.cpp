@@ -119,36 +119,12 @@ void IncrementalEngine::ensure_plan() {
   plan_->init_cells(tail_);
 }
 
-void IncrementalEngine::check_schema(const data::Table& block) const {
-  RCR_CHECK_MSG(block.column_names() == schema_.column_names(),
-                "block columns do not match the engine schema");
-  for (const std::string& name : schema_.column_names()) {
-    RCR_CHECK_MSG(block.kind(name) == schema_.kind(name),
-                  "block column '" + name + "' has a different kind");
-    switch (schema_.kind(name)) {
-      case data::ColumnKind::kCategorical:
-        RCR_CHECK_MSG(block.categorical(name).categories() ==
-                          schema_.categorical(name).categories(),
-                      "block column '" + name +
-                          "' has a different category set");
-        break;
-      case data::ColumnKind::kMultiSelect:
-        RCR_CHECK_MSG(block.multiselect(name).options() ==
-                          schema_.multiselect(name).options(),
-                      "block column '" + name + "' has a different option set");
-        break;
-      case data::ColumnKind::kNumeric:
-        break;
-    }
-  }
-}
-
 void IncrementalEngine::append_block(const data::Table& block,
                                      parallel::ThreadPool* pool) {
   obs::ScopedTimer append_timer(metrics().append_ms);
   sealed_ = true;
   ensure_plan();
-  check_schema(block);
+  schema_.check_same_schema(block);
 
   // The block gets its own plan (its spans point at the block's storage);
   // the schema match above guarantees its cell layout is identical, so its

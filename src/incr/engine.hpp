@@ -115,7 +115,6 @@ class IncrementalEngine {
 
  private:
   void ensure_plan();
-  void check_schema(const data::Table& block) const;
 
   data::Table schema_;
   std::vector<query::QuerySpec> specs_;

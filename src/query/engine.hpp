@@ -27,8 +27,7 @@
 // weighted sums — carry exactly the serial builders' left-to-right
 // association; above that, count-style accumulators stay exact (integer
 // counts are associative in double below 2^53) while fractional weighted
-// sums reassociate at shard boundaries, deterministically (same caveat
-// StreamingCrosstab documents).
+// sums reassociate at shard boundaries, deterministically.
 //
 // The plan/scan/merge/build machinery itself lives in query/partials.hpp
 // (BatchPlan) so other schedulers — the incremental engine, the snapshot

@@ -3,11 +3,11 @@
 // Every kernel body is instantiated once per lane width in translation
 // units compiled with the matching -m flags (see src/simd/CMakeLists.txt);
 // kernels.cpp routes each public entry point through the Isa returned by
-// active_isa(). Selection is a cached switch rather than target_clones /
-// ifunc resolvers because the determinism suite must be able to force the
-// scalar path at runtime (ifunc binds once at load, before main, and
-// misbehaves under TSan — the same reason RCR_RNG_KERNEL is gated off for
-// sanitized builds in util/rng.cpp).
+// active_isa(). Selection is a cached switch rather than compiler function
+// multiversioning / ifunc resolvers because the determinism suite must be
+// able to force the scalar path at runtime (ifunc binds once at load,
+// before main, and misbehaves under TSan). This is the repo's one CPU
+// dispatch mechanism.
 //
 // Resolution order, widest wins within each source:
 //   1. force_isa() override (tests; cleared with clear_isa_override());

@@ -1,5 +1,6 @@
 #include "stream/table_sketch.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -77,9 +78,21 @@ TableSketch::TableSketch(const data::Table& schema, TableSketchOptions options)
                   "reservoir column must be numeric");
   }
   for (const auto& [row_col, col_col] : options_.crosstabs) {
-    crosstabs_.emplace(std::make_pair(row_col, col_col),
-                       StreamingCrosstab(schema_, row_col, col_col));
+    const bool multiselect =
+        schema_.kind(col_col) == data::ColumnKind::kMultiSelect;
+    const std::size_t cols =
+        multiselect ? schema_.multiselect(col_col).option_count()
+                    : schema_.categorical(col_col).category_count();
+    RCR_CHECK_MSG(
+        schema_.categorical(row_col).category_count() > 0 && cols > 0,
+        "crosstab needs non-empty category sets");
+    crosstab_specs_.push_back({multiselect
+                                   ? query::SpecKind::kCrosstabMultiselect
+                                   : query::SpecKind::kCrosstab,
+                               row_col, col_col, {}, {}, {}, 0.95});
   }
+  crosstab_cells_.assign(
+      query::BatchPlan(schema_, crosstab_specs_).cell_count(), 0.0);
 }
 
 // Composite hash of one row over the distinct-key columns. Missing cells
@@ -116,6 +129,7 @@ std::uint64_t TableSketch::row_key(const data::Table& block,
 
 void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
   block.validate_rectangular();
+  schema_.check_same_schema(block);
   const std::size_t n = block.row_count();
 
   // Column-major passes keep the inner loops tight.
@@ -138,8 +152,6 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
   std::vector<std::uint64_t> cms_batch;
   for (auto& [name, state] : categorical_) {
     const auto& col = block.categorical(name);
-    RCR_CHECK_MSG(col.category_count() == state.counts.size(),
-                  "block categories diverge from the sketch schema");
     keys.clear();
     key_hashes.clear();
     for (std::size_t c = 0; c < state.counts.size(); ++c) {
@@ -159,8 +171,6 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
   }
   for (auto& [name, state] : multiselect_) {
     const auto& col = block.multiselect(name);
-    RCR_CHECK_MSG(col.option_count() == state.counts.size(),
-                  "block options diverge from the sketch schema");
     keys.clear();
     key_hashes.clear();
     for (std::size_t o = 0; o < state.counts.size(); ++o) {
@@ -181,7 +191,8 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
     label_cms_.add_batch(cms_batch);
   }
 
-  for (auto& [pair, xtab] : crosstabs_) xtab.ingest(block);
+  // The schema check above makes the block's plan lay out the same cells.
+  query::BatchPlan(block, crosstab_specs_).scan(0, n, crosstab_cells_);
 
   // Distinct counting: the composite row key is a per-column chain of
   // mix64(h ^ cell). Running it column-major over the whole block turns n
@@ -242,8 +253,15 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
 
 void TableSketch::merge(const TableSketch& other) {
   obs::ScopedTimer timer(stream_obs().merge_ms);
-  RCR_CHECK_MSG(schema_.column_names() == other.schema_.column_names(),
-                "TableSketch merge requires identical schemas");
+  schema_.check_same_schema(other.schema_);
+  // The component merges check their own sizes and seeds; these options
+  // choose what the components are fed, which they cannot see.
+  RCR_CHECK_MSG(
+      options_.crosstabs == other.options_.crosstabs &&
+          options_.distinct_columns == other.options_.distinct_columns &&
+          options_.reservoir_column == other.options_.reservoir_column,
+      "TableSketch merge requires identical crosstab, distinct and "
+      "reservoir columns");
   for (auto& [name, state] : numeric_) {
     const NumericState& o = other.numeric_.at(name);
     state.moments.merge(o.moments);
@@ -261,7 +279,8 @@ void TableSketch::merge(const TableSketch& other) {
       state.counts[c] += o.counts[c];
     state.answered += o.answered;
   }
-  for (auto& [pair, xtab] : crosstabs_) xtab.merge(other.crosstabs_.at(pair));
+  for (std::size_t i = 0; i < crosstab_cells_.size(); ++i)
+    crosstab_cells_[i] += other.crosstab_cells_[i];
   label_cms_.merge(other.label_cms_);
   heavy_hitters_.merge(other.heavy_hitters_);
   distinct_.merge(other.distinct_);
@@ -296,9 +315,17 @@ double TableSketch::answered(const std::string& column) const {
   return multiselect_.at(column).answered;
 }
 
-const StreamingCrosstab& TableSketch::crosstab(
+data::LabeledCrosstab TableSketch::crosstab(
     const std::string& row_column, const std::string& col_column) const {
-  return crosstabs_.at(std::make_pair(row_column, col_column));
+  const auto& pairs = options_.crosstabs;
+  const auto it =
+      std::find(pairs.begin(), pairs.end(), std::pair(row_column, col_column));
+  RCR_CHECK_MSG(it != pairs.end(), "crosstab (" + row_column + ", " +
+                                       col_column + ") was not configured");
+  auto results =
+      query::BatchPlan(schema_, crosstab_specs_).build(crosstab_cells_);
+  return std::move(results[static_cast<std::size_t>(it - pairs.begin())]
+                       .crosstab);
 }
 
 const WeightedReservoir& TableSketch::reservoir() const {
@@ -317,7 +344,7 @@ std::size_t TableSketch::approx_bytes() const {
     bytes += state.counts.capacity() * sizeof(double);
   for (const auto& [name, state] : multiselect_)
     bytes += state.counts.capacity() * sizeof(double);
-  for (const auto& [pair, xtab] : crosstabs_) bytes += xtab.approx_bytes();
+  bytes += crosstab_cells_.capacity() * sizeof(double);
   return bytes;
 }
 

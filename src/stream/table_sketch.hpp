@@ -13,11 +13,16 @@
 //   whole rows           -> HyperLogLog distinct count of the composite
 //                           key over `distinct_columns`
 //   one numeric column   -> WeightedReservoir sample (optional)
-//   configured pairs     -> StreamingCrosstab (exact data::crosstab)
+//   configured pairs     -> query::BatchPlan crosstab cells (exact
+//                           data::crosstab / crosstab_multiselect)
 //
 // ingest() takes the block plus the global index of its first row (the
 // reservoir's shard-invariant priorities need it); merge() folds a shard's
-// sketch in. Both are instrumented through rcr::obs: counters stream.rows /
+// sketch in. Blocks and merged sketches must carry the schema's exact
+// column layout and label sets (data::Table::check_same_schema). The
+// crosstab pairs are unweighted, so every cell is an integer count and any
+// shard split merges to the materialized builders' bits. ingest() and
+// merge() are instrumented through rcr::obs: counters stream.rows /
 // stream.blocks / stream.merges, histogram stream.merge.ms, and
 // publish_metrics() exports sketch-size gauges.
 #pragma once
@@ -28,8 +33,9 @@
 #include <utility>
 #include <vector>
 
+#include "data/crosstab.hpp"
 #include "data/table.hpp"
-#include "stream/crosstab_stream.hpp"
+#include "query/partials.hpp"
 #include "stream/sketch.hpp"
 
 namespace rcr::stream {
@@ -87,8 +93,10 @@ class TableSketch {
   const std::vector<double>& option_counts(const std::string& column) const;
   double answered(const std::string& column) const;
 
-  const StreamingCrosstab& crosstab(const std::string& row_column,
-                                    const std::string& col_column) const;
+  // A configured pair's crosstab, labelled from the schema — equal to
+  // data::crosstab (or crosstab_multiselect) over every row ingested.
+  data::LabeledCrosstab crosstab(const std::string& row_column,
+                                 const std::string& col_column) const;
   const CountMinSketch& label_cms() const { return label_cms_; }
   const SpaceSaving& heavy_hitters() const { return heavy_hitters_; }
   const HyperLogLog& distinct() const { return distinct_; }
@@ -128,7 +136,10 @@ class TableSketch {
   std::map<std::string, NumericState> numeric_;
   std::map<std::string, CountState> categorical_;
   std::map<std::string, CountState> multiselect_;
-  std::map<std::pair<std::string, std::string>, StreamingCrosstab> crosstabs_;
+  // One query spec per configured pair, in options order, and their flat
+  // BatchPlan accumulator (every cell a sum).
+  std::vector<query::QuerySpec> crosstab_specs_;
+  std::vector<double> crosstab_cells_;
   CountMinSketch label_cms_;
   SpaceSaving heavy_hitters_;
   HyperLogLog distinct_;

@@ -15,11 +15,12 @@
 //   * Scalar — next_u64() and friends, one value per call. The hot scalar
 //     primitives are inline so consumers pay no call overhead per draw.
 //   * Batched — fill_u64 / fill_double / fill_below write a whole span per
-//     call. On Rng the batch calls are defined to produce *exactly* the
-//     sequence the equivalent scalar loop would (so call sites can convert
-//     freely without changing any study output), and BatchRng interleaves
-//     kStreams independent xoshiro256** streams in a structure-of-arrays
-//     layout so the state-update loop vectorizes (see rng.cpp).
+//     call, defined to produce *exactly* the sequence the equivalent scalar
+//     loop would (so call sites can convert freely without changing any
+//     study output).
+//
+// Wide, multi-lane generation is simd::Philox (simd/philox.hpp), a
+// counter-based generator whose lanes vectorize through simd::dispatch.
 #pragma once
 
 #include <array>
@@ -239,61 +240,6 @@ class BufferedDraws {
   std::array<std::uint64_t, kBlock> buf_;
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
-};
-
-// BatchRng — wide deterministic draw pipeline.
-//
-// Advances kStreams independent xoshiro256** generators kept in a
-// structure-of-arrays layout, so one "row" update (one draw from every
-// stream) is a branch-free loop the compiler vectorizes. Stream k is
-// exactly Rng(stream_seed(seed, k)); both pieces are part of the public
-// determinism contract:
-//
-//   * output position i (counted across ALL fill/next calls since
-//     construction) is served by stream i % kStreams;
-//   * each output consumes one or more successive draws of its stream
-//     (more than one only when fill_below hits a Lemire rejection, which
-//     redraws from the same stream until acceptance — handled in a scalar
-//     fixup tail off the vector path);
-//   * batch-call boundaries are invisible: any way of slicing the same
-//     total request sequence into fill_* calls yields the same values.
-//
-// The whole output is therefore a pure function of the seed, reproducible
-// on any platform, and testable against kStreams plain Rng references.
-class BatchRng {
- public:
-  static constexpr std::size_t kStreams = 16;
-
-  explicit BatchRng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) {
-    reseed(seed);
-  }
-
-  void reseed(std::uint64_t seed);
-
-  // The per-stream seed derivation (SplitMix64-style hash of seed and k);
-  // exposed so tests and documentation can reconstruct reference streams.
-  static std::uint64_t stream_seed(std::uint64_t seed, std::size_t k);
-
-  void fill_u64(std::span<std::uint64_t> out);
-  void fill_double(std::span<double> out);
-  void fill_below(std::uint64_t bound, std::span<std::uint64_t> out);
-
-  // Single draw through the same round-robin pipeline.
-  std::uint64_t next_u64();
-
- private:
-  // One scalar xoshiro256** step of stream k (rejection fixups, row refill).
-  std::uint64_t step_stream(std::size_t k);
-  void refill_row();
-
-  alignas(64) std::array<std::uint64_t, kStreams> s0_{};
-  std::array<std::uint64_t, kStreams> s1_{};
-  std::array<std::uint64_t, kStreams> s2_{};
-  std::array<std::uint64_t, kStreams> s3_{};
-  // One pre-drawn value per stream for requests that stop mid-row; buf_[k]
-  // is stream k's next undelivered draw. buf_pos_ == kStreams means empty.
-  std::array<std::uint64_t, kStreams> buf_{};
-  std::size_t buf_pos_ = kStreams;
 };
 
 // Walker alias table: O(1) sampling from a fixed discrete distribution.

@@ -4,6 +4,7 @@
 // (exactly for the exact accumulators, within the documented bound for the
 // approximate ones).
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <string>
@@ -14,9 +15,9 @@
 #include "data/crosstab.hpp"
 #include "data/table.hpp"
 #include "stats/descriptive.hpp"
-#include "stream/crosstab_stream.hpp"
 #include "stream/sketch.hpp"
 #include "stream/table_sketch.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -320,10 +321,9 @@ TEST(WeightedReservoir, WeightsBiasSelection) {
   EXPECT_EQ(res2.offered(), 2u);
 }
 
-// --- StreamingCrosstab vs the materialized builders -------------------------
+// --- TableSketch crosstabs vs the materialized builders --------------------
 
-rcr::data::Table crosstab_fixture(std::size_t rows, std::uint64_t seed,
-                                  bool with_weights) {
+rcr::data::Table crosstab_fixture(std::size_t rows, std::uint64_t seed) {
   rcr::data::Table t;
   auto& color = t.add_categorical("color", {"red", "green", "blue"});
   auto& shape = t.add_categorical("shape", {"circle", "square"});
@@ -349,68 +349,111 @@ rcr::data::Table crosstab_fixture(std::size_t rows, std::uint64_t seed,
     } else {
       tags.push_mask(rng.next_below(8));
     }
-    if (with_weights && rng.next_below(20) == 0) {
-      w.push_missing();
-    } else {
-      w.push(with_weights ? rng.uniform(0.0, 3.0) : 1.0);
-    }
+    w.push(1.0);
   }
   return t;
 }
 
-TEST(StreamingCrosstab, MatchesMaterializedCategorical) {
-  const auto full = crosstab_fixture(5000, 17, false);
-  StreamingCrosstab streamed(full, "color", "shape");
-
-  rcr::Rng rng(3);
-  for (const auto& [lo, hi] : random_shards(full.row_count(), 6, rng)) {
-    streamed.ingest(
-        full.filter([&](std::size_t i) { return i >= lo && i < hi; }));
+// Ingests random shard splits of `full`, one TableSketch per shard, merges
+// the shards in a shuffled order, and checks the (row, col) crosstab is
+// bitwise equal to `exact` — the materialized builder over every row.
+void expect_shard_merge_crosstab_bitwise(
+    const rcr::data::Table& full, const std::string& row,
+    const std::string& col, const rcr::data::LabeledCrosstab& exact,
+    std::uint64_t seed) {
+  TableSketchOptions opts;
+  opts.crosstabs = {{row, col}};
+  rcr::Rng rng(seed);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<TableSketch> shards;
+    for (const auto& [lo, hi] : random_shards(full.row_count(), 6, rng)) {
+      shards.emplace_back(full, opts);
+      shards.back().ingest(
+          full.filter([&](std::size_t i) { return i >= lo && i < hi; }), lo);
+    }
+    rng.shuffle(shards);
+    for (std::size_t k = 1; k < shards.size(); ++k) shards[0].merge(shards[k]);
+    const auto got = shards[0].crosstab(row, col);
+    ASSERT_EQ(got.row_labels, exact.row_labels);
+    ASSERT_EQ(got.col_labels, exact.col_labels);
+    for (std::size_t r = 0; r < got.row_labels.size(); ++r)
+      for (std::size_t c = 0; c < got.col_labels.size(); ++c)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.counts.at(r, c)),
+                  std::bit_cast<std::uint64_t>(exact.counts.at(r, c)))
+            << "trial=" << trial << " r=" << r << " c=" << c;
   }
-  const auto exact = rcr::data::crosstab(full, "color", "shape");
-  const auto got = streamed.to_labeled();
-  ASSERT_EQ(got.row_labels, exact.row_labels);
-  ASSERT_EQ(got.col_labels, exact.col_labels);
-  for (std::size_t r = 0; r < got.row_labels.size(); ++r)
-    for (std::size_t c = 0; c < got.col_labels.size(); ++c)
-      EXPECT_EQ(got.counts.at(r, c), exact.counts.at(r, c));
 }
 
-TEST(StreamingCrosstab, MatchesMaterializedMultiselectWeighted) {
-  const auto full = crosstab_fixture(4000, 29, true);
-  StreamingCrosstab streamed(full, "color", "tags", std::string("w"));
-  rcr::Rng rng(5);
-  for (const auto& [lo, hi] : random_shards(full.row_count(), 5, rng)) {
-    streamed.ingest(
-        full.filter([&](std::size_t i) { return i >= lo && i < hi; }));
-  }
-  const auto exact = rcr::data::crosstab_multiselect(full, "color", "tags",
-                                                     std::string("w"));
-  const auto got = streamed.to_labeled();
-  for (std::size_t r = 0; r < got.row_labels.size(); ++r)
-    for (std::size_t c = 0; c < got.col_labels.size(); ++c)
-      EXPECT_NEAR(got.counts.at(r, c), exact.counts.at(r, c), 1e-9);
+TEST(TableSketch, CrosstabMatchesMaterializedCategorical) {
+  const auto full = crosstab_fixture(5000, 17);
+  expect_shard_merge_crosstab_bitwise(
+      full, "color", "shape", rcr::data::crosstab(full, "color", "shape"), 3);
 }
 
-TEST(StreamingCrosstab, MergeAddsCells) {
-  const auto full = crosstab_fixture(1000, 41, false);
-  StreamingCrosstab a(full, "color", "shape");
-  StreamingCrosstab b(full, "color", "shape");
-  const std::size_t half = full.row_count() / 2;
-  a.ingest(full.filter([&](std::size_t i) { return i < half; }));
-  b.ingest(full.filter([&](std::size_t i) { return i >= half; }));
-  a.merge(b);
-  const auto exact = rcr::data::crosstab(full, "color", "shape");
-  const auto got = a.to_labeled();
-  for (std::size_t r = 0; r < got.row_labels.size(); ++r)
-    for (std::size_t c = 0; c < got.col_labels.size(); ++c)
-      EXPECT_EQ(got.counts.at(r, c), exact.counts.at(r, c));
+TEST(TableSketch, CrosstabMatchesMaterializedMultiselect) {
+  const auto full = crosstab_fixture(4000, 29);
+  expect_shard_merge_crosstab_bitwise(
+      full, "color", "tags",
+      rcr::data::crosstab_multiselect(full, "color", "tags"), 5);
+}
+
+TEST(TableSketch, CrosstabRejectsUnconfiguredPair) {
+  const auto full = crosstab_fixture(10, 2);
+  TableSketchOptions opts;
+  opts.crosstabs = {{"color", "shape"}};
+  const TableSketch sketch(full, opts);
+  EXPECT_THROW(sketch.crosstab("color", "tags"), rcr::Error);
+}
+
+rcr::data::Table color_table(std::vector<std::string> categories,
+                             const std::vector<std::string>& rows) {
+  rcr::data::Table t;
+  auto& color = t.add_categorical("color", std::move(categories));
+  for (const auto& label : rows) color.push(label);
+  return t;
+}
+
+// A block whose dictionary holds the schema's labels in another order maps
+// every code to a different label; it must be refused, not tallied.
+TEST(TableSketch, IngestRejectsReorderedLabelSet) {
+  TableSketch sketch(color_table({"red", "green"}, {}));
+  const auto block = color_table({"green", "red"}, {"red", "red", "red"});
+  EXPECT_THROW(sketch.ingest(block), rcr::Error);
+  EXPECT_EQ(sketch.rows(), 0u);
+  EXPECT_EQ(sketch.category_counts("color"), (std::vector<double>{0.0, 0.0}));
+}
+
+// Merging a sketch with fewer categories would read its counts past their
+// end; a label-set mismatch must be refused in either direction.
+TEST(TableSketch, MergeRejectsDifferentLabelSets) {
+  TableSketch wide(color_table({"red", "green", "blue"}, {"blue"}));
+  TableSketch narrow(color_table({"red", "green"}, {"red"}));
+  EXPECT_THROW(wide.merge(narrow), rcr::Error);
+  EXPECT_THROW(narrow.merge(wide), rcr::Error);
+}
+
+// Sketches fed different columns hold incomparable samples and keys.
+TEST(TableSketch, MergeRejectsDifferentColumnOptions) {
+  const auto full = crosstab_fixture(10, 3);
+  TableSketchOptions base;
+  base.crosstabs = {{"color", "shape"}};
+  base.reservoir_column = "w";
+  auto other_pair = base;
+  other_pair.crosstabs = {{"color", "tags"}};
+  auto other_distinct = base;
+  other_distinct.distinct_columns = {"color"};
+  auto no_reservoir = base;
+  no_reservoir.reservoir_column.clear();
+  for (const auto& opts : {other_pair, other_distinct, no_reservoir}) {
+    TableSketch sketch(full, base);
+    EXPECT_THROW(sketch.merge(TableSketch(full, opts)), rcr::Error);
+  }
 }
 
 // --- TableSketch property: random shard splits merge to the single-stream
 // state across every sketch at once.
 TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
-  auto full = crosstab_fixture(6000, 53, false);
+  auto full = crosstab_fixture(6000, 53);
   // Rename w to a real numeric variable for moments/quantiles/reservoir.
   rcr::Rng vals(8);
   auto& w = full.numeric("w");
@@ -455,8 +498,8 @@ TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
     for (std::size_t i = 0; i < merged.reservoir().items().size(); ++i)
       EXPECT_EQ(merged.reservoir().items()[i].index,
                 single.reservoir().items()[i].index);
-    const auto sx = single.crosstab("color", "tags").to_labeled();
-    const auto mx = merged.crosstab("color", "tags").to_labeled();
+    const auto sx = single.crosstab("color", "tags");
+    const auto mx = merged.crosstab("color", "tags");
     for (std::size_t r = 0; r < sx.row_labels.size(); ++r)
       for (std::size_t c = 0; c < sx.col_labels.size(); ++c)
         EXPECT_EQ(mx.counts.at(r, c), sx.counts.at(r, c));
@@ -476,7 +519,7 @@ TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
 }
 
 TEST(TableSketch, ApproxBytesAndMetricsPublish) {
-  const auto full = crosstab_fixture(500, 5, false);
+  const auto full = crosstab_fixture(500, 5);
   TableSketchOptions opts;
   opts.reservoir_column = "w";
   TableSketch sketch(full, opts);
